@@ -33,8 +33,8 @@ namespace detail
 namespace
 {
 
-// Atomic: a worker-lane BEACON_CHECK may fire while the coordinator
-// constructs/destroys an Observability bundle.
+// Atomic: a sweep worker's BEACON_CHECK may fire while another
+// thread constructs/destroys an Observability bundle.
 std::atomic<PanicHook> panic_hook{nullptr};
 
 } // namespace

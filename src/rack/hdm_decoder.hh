@@ -51,8 +51,7 @@ struct HdmDecoded
 
 /**
  * A host's HDM decoder: an ordered list of non-overlapping HPA
- * ranges. Plain state, no event-queue interaction; rack machines
- * mutate it only from lane-0 control events.
+ * ranges. Plain state, no event-queue interaction.
  */
 class HdmDecoder
 {

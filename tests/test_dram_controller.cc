@@ -113,6 +113,21 @@ TEST(DramController, RowHitsPreferredOverConflicts)
     EXPECT_GT(h.ctrl->device().numPres(), 0u);
 }
 
+TEST(DramController, RowHitsCountOnlyRequestsNeedingNoActOrPre)
+{
+    // Two reads of row 5 and one of row 9, all in one bank: the first
+    // row-5 read opens the row (ACT), the second hits it, and the
+    // row-9 read needs a PRE and an ACT.
+    ControllerHarness h;
+    for (unsigned row : {5u, 5u, 9u})
+        h.ctrl->enqueue(h.makeRead(0, 0, 0, row));
+    h.eq.run();
+    EXPECT_EQ(h.ctrl->readsCompleted(), 3u);
+    EXPECT_EQ(h.stats.counterValue("dimm.rowHits"), 1.0);
+    EXPECT_EQ(h.stats.counterValue("dimm.activates"), 2.0);
+    EXPECT_EQ(h.stats.counterValue("dimm.rowConflicts"), 1.0);
+}
+
 TEST(DramController, WritesComplete)
 {
     ControllerHarness h;

@@ -5,14 +5,14 @@
  * cross-host non-aliasing), pool-fabric node registration guards, the
  * memmgmt reservation / candidate-restricted evacuation primitives
  * the hot-plug path uses, and whole-rack runs — multi-host smoke,
- * serial-vs-sharded bit-identity, and hot-remove / hot-add / VCS
- * rebind mid-run with clean finalize checks.
+ * per-host request tracing, and hot-remove / hot-add / VCS rebind
+ * mid-run with clean finalize checks.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
-#include <sstream>
 #include <string>
 #include <utility>
 
@@ -22,6 +22,7 @@
 #include "common/rng.hh"
 #include "memmgmt/framework.hh"
 #include "rack/system.hh"
+#include "sim/stats.hh"
 
 namespace beacon
 {
@@ -170,12 +171,9 @@ TEST(RackFabricDeathTest, DuplicateAndUnregisteredNodesAreFatal)
 
     const NodeId extra = NodeId::hostNode(3);
     EXPECT_FALSE(fabric.isRegistered(extra));
-    EXPECT_DEATH(fabric.setNodeHome(extra, 1),
-                 "unregistered fabric node");
     fabric.registerNode(extra);
     EXPECT_DEATH(fabric.registerNode(extra),
                  "duplicate fabric registration");
-    fabric.setNodeHome(extra, 1);
     fabric.unregisterNode(extra);
     EXPECT_FALSE(fabric.isRegistered(extra));
     EXPECT_DEATH(fabric.unregisterNode(extra),
@@ -304,27 +302,49 @@ TEST(RackSystemTest, SegmentWritesBackInvalidateSharers)
     EXPECT_GT(report.invalidations, 0u);
 }
 
-TEST(RackSystemTest, SerialAndShardedRunsAreBitIdentical)
+TEST(RackSystemTest, RequestTraceKeepsEveryHostsJobsApart)
 {
-    const auto observe = [](unsigned shards) {
-        RackParams p = smallRack(2, /*checkers=*/false);
-        if (shards > 0) {
-            p.base.des.force_sharded = true;
-            p.base.des.shards = shards;
+#if !BEACON_OBS_ENABLED
+    GTEST_SKIP() << "telemetry compiled out (BEACON_OBS=OFF)";
+#endif
+    RackParams p = smallRack(8, /*checkers=*/false);
+    p.base.obs = obs::ObsConfig{};
+    p.base.obs.request_trace = true;
+    RackSystem rack(p);
+    addRackTenants(rack);
+    const RackReport report = rack.run();
+    const obs::RequestTrace *rt = rack.machine().obsRequestTrace();
+    ASSERT_NE(rt, nullptr);
+    EXPECT_EQ(rt->openJobs(), 0u);
+
+    // One record per completed job: every host numbers its jobs in
+    // its own range, so no two hosts' jobs merge.
+    std::uint64_t completed = 0;
+    for (const ServiceReport &host : report.hosts)
+        completed += host.tenants.at(0).jobs_completed;
+    ASSERT_EQ(rt->records().size(), completed);
+    std::set<std::uint64_t> ids;
+    for (const obs::JobRecord &rec : rt->records())
+        ids.insert(rec.job);
+    EXPECT_EQ(ids.size(), completed);
+
+    // Each host's percentiles from its trace records match its
+    // tenant report exactly (same ceil-rank rule over the same ticks).
+    for (unsigned h = 0; h < rack.numHosts(); ++h) {
+        SCOPED_TRACE("host " + std::to_string(h));
+        const TenantReport &tenant = report.hosts[h].tenants.at(0);
+        std::vector<double> latencies;
+        for (const obs::JobRecord &rec : rt->records()) {
+            if (rec.tenant == tenant.tenant.value())
+                latencies.push_back(double(rec.latency()));
         }
-        RackSystem rack(p);
-        addRackTenants(rack);
-        const RackReport report = rack.run();
-        std::ostringstream os;
-        rack.machine().stats().dump(os);
-        return std::pair<std::string, std::uint64_t>(
-            os.str(), report.machine.ticks);
-    };
-    const auto serial = observe(0);
-    const auto sharded = observe(4);
-    EXPECT_EQ(serial.second, sharded.second);
-    ASSERT_EQ(serial.first, sharded.first)
-        << "rack stat registry diverged between serial and sharded";
+        ASSERT_EQ(latencies.size(), tenant.jobs_completed);
+        std::sort(latencies.begin(), latencies.end());
+        EXPECT_EQ(quantileSorted(latencies, 0.50) * 1e-9,
+                  tenant.p50_latency_ms);
+        EXPECT_EQ(quantileSorted(latencies, 0.99) * 1e-9,
+                  tenant.p99_latency_ms);
+    }
 }
 
 TEST(RackSystemTest, HotRemoveMidRunMigratesAndCompletes)

@@ -196,67 +196,49 @@ TEST(SweepDeterminismTest, SerialAndParallelSweepsAreBitIdentical)
 }
 
 // ---------------------------------------------------------------
-// Serial-vs-sharded differential oracle
+// Random-pool repeatability oracle
 // ---------------------------------------------------------------
 
 /**
- * The sharded engine's contract is bit-identity with the legacy
- * serial queue on every machine the composition code can build, not
- * just the presets. Each iteration draws a random pool shape, runs
- * it once on each engine, and compares the full stat registry dump
- * plus the final tick. BEACON_FUZZ_ITERS scales the sweep for
- * soak runs (default keeps CI fast).
+ * Every machine the composition code can build, not just the presets,
+ * must complete and be a pure function of its parameters. Each
+ * iteration draws a random pool shape, runs it twice, and compares the
+ * full stat registry dump plus the final tick. Half the configs run
+ * with the full checker fleet armed. BEACON_FUZZ_ITERS scales the
+ * sweep for soak runs (default keeps CI fast).
  */
-TEST(ShardedDifferentialFuzz, RandomPoolsMatchSerial)
+TEST(PoolFuzz, RandomPoolsAreRepeatable)
 {
     unsigned iters = 200;
     if (const char *env = std::getenv("BEACON_FUZZ_ITERS"))
         iters = unsigned(std::max(1, std::atoi(env)));
 
-    const auto observe = [](SystemParams params,
-                            const DesParams &des) {
-        params.des = des;
+    const auto observe = [](const SystemParams &params) {
         NdpSystem system(params, fuzzWorkload());
         const RunResult r = system.run(8);
+        EXPECT_EQ(r.tasks, 8u);
         std::ostringstream os;
         system.stats().dump(os);
         return std::pair<std::string, Tick>(os.str(), r.ticks);
     };
 
-    unsigned multi_lane = 0;
     for (unsigned i = 0; i < iters; ++i) {
         Rng rng(7000 + i);
         SystemParams params = randomPool(rng);
-        // randomPool() arms the full checker fleet, and the CXL link
-        // checker vetoes multi-lane execution; strip the checkers
-        // from half the configs so the oracle also covers real
-        // parallel windows, not just the collapsed path.
         if (i % 2 == 0)
             params.checkers = CheckerConfig{};
 
-        DesParams des;
-        des.force_sharded = true;
-        des.shards = 2 + unsigned(rng.next(7)); // 2..8
-
-        const auto serial = observe(params, DesParams{});
-        const auto sharded = observe(params, des);
-        SCOPED_TRACE("iter " + std::to_string(i) + " shards " +
-                     std::to_string(des.shards));
-        EXPECT_EQ(serial.second, sharded.second);
-        ASSERT_EQ(serial.first, sharded.first)
-            << "stat registry dump diverged";
-
-        if (!params.checkers.cxl_link && params.num_groups > 0 &&
-            params.cxlg_dimms.size() <
-                params.num_groups * params.dimms_per_group)
-            ++multi_lane;
+        const auto first = observe(params);
+        const auto second = observe(params);
+        SCOPED_TRACE("iter " + std::to_string(i));
+        EXPECT_EQ(first.second, second.second);
+        ASSERT_EQ(first.first, second.first)
+            << "stat registry dump diverged between runs";
     }
-    EXPECT_GT(multi_lane, iters / 4)
-        << "too few configs eligible for multi-lane execution";
 }
 
 // ---------------------------------------------------------------
-// Rack-scale serial-vs-sharded differential oracle
+// Random-rack repeatability oracle
 // ---------------------------------------------------------------
 
 const HashSeedingWorkload &
@@ -273,20 +255,19 @@ rackFuzzWorkload()
 }
 
 /**
- * Same contract as RandomPoolsMatchSerial, one layer up: random rack
- * shapes (host count, tree depth, interleave ways, shared-segment
+ * Same contract as RandomPoolsAreRepeatable, one layer up: random
+ * rack shapes (host count, tree depth, interleave ways, shared-segment
  * mix, write cadence) with mid-run hot-remove / hot-add / VCS-rebind
- * events must produce bit-identical stat registries on the serial
- * and sharded engines. This is the path with the most cross-lane
- * traffic in the tree: host caches and the fabric on lane 0, each
- * expander's directory on its own controller lane.
+ * events must complete every job and produce bit-identical stat
+ * registries across two runs.
  */
-TEST(RackDifferentialFuzz, RandomRacksMatchSerial)
+TEST(RackFuzz, RandomRacksAreRepeatable)
 {
     unsigned iters = 10;
     if (const char *env = std::getenv("BEACON_FUZZ_ITERS"))
         iters = std::max(1u, unsigned(std::atoi(env)) / 20);
 
+    static constexpr unsigned jobs_per_host = 3;
     const auto observe = [](const rack::RackParams &params,
                             unsigned hot_case) {
         rack::RackSystem rk(params);
@@ -294,7 +275,7 @@ TEST(RackDifferentialFuzz, RandomRacksMatchSerial)
             TenantSpec spec;
             spec.name = "host" + std::to_string(h) + ".t0";
             spec.workload = &rackFuzzWorkload();
-            spec.num_jobs = 3;
+            spec.num_jobs = jobs_per_host;
             spec.tasks_per_job = 2;
             spec.arrival.concurrency = 2;
             EXPECT_NE(rk.addTenant(h, spec), untenanted_id);
@@ -308,6 +289,8 @@ TEST(RackDifferentialFuzz, RandomRacksMatchSerial)
             rk.scheduleRebind(Tick{300000}, 10,
                               params.hosts - 1);
         const rack::RackReport r = rk.run();
+        for (const ServiceReport &host : r.hosts)
+            EXPECT_EQ(host.tenants.at(0).jobs_completed, jobs_per_host);
         std::ostringstream os;
         rk.machine().stats().dump(os);
         return std::pair<std::string, Tick>(os.str(),
@@ -338,27 +321,18 @@ TEST(RackDifferentialFuzz, RandomRacksMatchSerial)
             seg.owner_dimm = 9;
             params.segments.push_back(seg);
         }
-        // The CXL link checker vetoes multi-lane execution; arm the
-        // checkers on half the configs so the oracle covers both the
-        // collapsed and the genuinely parallel path.
         if (i % 2 != 0)
             params.base.checkers = CheckerConfig::all();
         const unsigned hot_case = unsigned(rng.next(4));
 
-        rack::RackParams sharded_params = params;
-        sharded_params.base.des.force_sharded = true;
-        sharded_params.base.des.shards =
-            2 + unsigned(rng.next(7)); // 2..8
-
-        const auto serial = observe(params, hot_case);
-        const auto sharded = observe(sharded_params, hot_case);
+        const auto first = observe(params, hot_case);
+        const auto second = observe(params, hot_case);
         SCOPED_TRACE("iter " + std::to_string(i) + " hosts " +
                      std::to_string(params.hosts) + " hot_case " +
-                     std::to_string(hot_case) + " shards " +
-                     std::to_string(sharded_params.base.des.shards));
-        EXPECT_EQ(serial.second, sharded.second);
-        ASSERT_EQ(serial.first, sharded.first)
-            << "rack stat registry dump diverged";
+                     std::to_string(hot_case));
+        EXPECT_EQ(first.second, second.second);
+        ASSERT_EQ(first.first, second.first)
+            << "rack stat registry dump diverged between runs";
     }
 }
 

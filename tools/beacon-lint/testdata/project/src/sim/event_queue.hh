@@ -1,6 +1,5 @@
-// Fixture: a miniature EventQueue at the real header path, so the
-// shared-state pass indexes its surface (schedule* mutating, now()
-// const) exactly as it does for the production class.
+// Fixture: a miniature EventQueue at the real header path, included
+// by the layer-DAG fixtures above it.
 
 #ifndef FIXTURE_SIM_EVENT_QUEUE_HH
 #define FIXTURE_SIM_EVENT_QUEUE_HH
